@@ -1,9 +1,9 @@
 """Ablation — staged lookup: a constant-factor help, not a fix.
 
-DESIGN.md calls out OVS's staged-lookup optimisation as a design choice
-worth ablating: it reduces per-subtable hash work but cannot reduce the
-*number* of subtables the scan visits, so the attack survives it.  The
-benchmark verifies both halves of that statement on the real dataplane.
+OVS's staged-lookup optimisation is a design choice worth ablating: it
+reduces per-subtable hash work but cannot reduce the *number* of
+subtables the scan visits, so the attack survives it.  The benchmark
+verifies both halves of that statement on the real dataplane.
 """
 
 import pytest

@@ -1,7 +1,8 @@
 """Ablation — victim flow diversity: who actually gets hurt.
 
-DESIGN.md §6's load-bearing modelling assumption is that the victim is
-a connection-rich cloud service.  This ablation sweeps the victim's
+The cost model's load-bearing modelling assumption (see
+:mod:`repro.perf.costmodel`) is that the victim is a connection-rich
+cloud service.  This ablation sweeps the victim's
 concurrent-flow count under the 8192-mask attack: a single fat flow
 stays microflow-cached and barely notices; a few thousand short
 connections are fully exposed to the TSS scan.  (The same distinction

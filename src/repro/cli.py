@@ -46,7 +46,8 @@ Commands
 
 ``experiment``
     Run one (or all) of the paper-artefact experiments; thin wrapper
-    around :mod:`repro.experiments.runner`.
+    around :mod:`repro.experiments.runner` (``--csv DIR`` dumps every
+    experiment's data).
 
 ``demo``
     The Fig. 2 worked example, printed.
@@ -403,7 +404,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     """The ``experiment`` command."""
     from repro.experiments import runner
 
-    return runner.main(args.names or ["all"])
+    argv = args.names or ["all"]
+    if args.csv is not None:
+        argv = [*argv, "--csv", args.csv]
+    return runner.main(argv)
 
 
 def cmd_demo(_args: argparse.Namespace) -> int:
@@ -616,6 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="run paper experiments")
     experiment.add_argument("names", nargs="*", help="experiment ids (default: all)")
+    experiment.add_argument(
+        "--csv", metavar="DIR",
+        help="directory for CSV dumps (every experiment writes here)",
+    )
     experiment.set_defaults(func=cmd_experiment)
 
     demo = sub.add_parser("demo", help="print the Fig. 2 worked example")

@@ -1,6 +1,6 @@
 """``repro.experiments`` — regeneration of every paper table and figure.
 
-One module per experiment (ids from DESIGN.md §4):
+One module per experiment (ids as in the runner's ``EXPERIMENTS`` table):
 
 * :mod:`repro.experiments.fig2`        — E1: the Fig. 2a/2b megaflow table
 * :mod:`repro.experiments.masks`       — E2/E3: in-text mask counts (8 / 512 / 8192)

@@ -2,7 +2,8 @@
 and, in certain cases, denying network access altogether".
 
 "Effective peak performance" is the switch's packet-processing capacity
-for flow-diverse traffic — the megaflow-path capacity (DESIGN.md §6).
+for flow-diverse traffic — the megaflow-path capacity (calibrated in
+:mod:`repro.perf.costmodel`).
 This sweep runs every campaign surface in the scenario registry through
 a full :class:`~repro.scenario.session.Session` on a kernel-profile
 switch and reports, per attack surface, the measured mask count and the

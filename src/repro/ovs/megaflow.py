@@ -41,9 +41,9 @@ class MegaflowEntry:
     #: scan-bypassing refresh paths credit subtable hit counters
     subtable: Optional[object] = field(default=None, repr=False, compare=False)
 
-    def touch(self, now: float) -> None:
-        """Record a hit at time ``now``."""
-        self.hits += 1
+    def touch(self, now: float, count: int = 1) -> None:
+        """Record ``count`` hits at time ``now``."""
+        self.hits += count
         self.last_used = now
 
     def refresh(self, now: float) -> None:
@@ -161,7 +161,7 @@ class MegaflowCache:
             tenant=tenant,
             subtable=subtable,
         )
-        subtable.insert(masked_values, entry)
+        self.tss.insert(masks, masked_values, entry)
         self.inserts += 1
         return entry
 

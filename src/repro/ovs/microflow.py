@@ -70,6 +70,16 @@ class MicroflowCache:
         # set placement is deterministic across runs
         return hash(key) % self.n_sets  # repro-lint: disable=determinism-hash
 
+    @property
+    def can_store(self) -> bool:
+        """Whether :meth:`insert` can store anything at all.  With
+        insertion disabled (probability 0, the documented operator
+        response to EMC thrashing) no key ever becomes resident, so a
+        burst's EMC misses do not depend on the inserts its earlier
+        packets attempt — the batch pipelines need not split a run of
+        misses at a repeated key."""
+        return self.insertion_prob > 0.0
+
     def contains(self, key: FlowKey) -> bool:
         """Whether *any* slot (live or stale) currently stores ``key``.
 

@@ -279,12 +279,14 @@ class OvsSwitch:
         walks the subtable pvector once per chunk instead of once per
         key).  A run breaks wherever sequential semantics demand it: at
         keys the EMC may already hold (their outcome depends on the
-        run's pending inserts), at duplicates within the run, and at
-        every TSS miss (the upcall mutates the tuple space).  Chunks
-        ramp up from one key, reset on a miss, and keep their size
-        across runs, so miss-heavy bursts degrade gracefully to exactly
-        the per-key work while hit-heavy steady states scan whole runs
-        in one chunk.  As with
+        run's pending inserts), at duplicates within the run when the
+        EMC can store them (see :attr:`~repro.ovs.microflow.
+        MicroflowCache.can_store`), and at every TSS miss (the upcall
+        mutates the tuple space; ``lookup_batch``'s prefix contract
+        rescans the keys after it).  Chunks ramp up from one key, reset
+        on a miss, and keep their size across runs, so miss-heavy
+        bursts degrade gracefully to exactly the per-key work while
+        hit-heavy steady states scan whole runs in one chunk.  As with
         :meth:`process`, a stale ``now`` is clamped to the monotonic
         clock.
 
@@ -300,8 +302,12 @@ class OvsSwitch:
         batch = BatchResult()
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
+        split_repeats = self.microflow.can_store
         for key in keys:
-            if run and (key in run_set or self.microflow.contains(key)):
+            if run and (
+                (split_repeats and key in run_set)
+                or self.microflow.contains(key)
+            ):
                 # this key's EMC lookup does not commute with the run's
                 # pending inserts: flush first, then look it up at its
                 # true sequential point
@@ -312,7 +318,8 @@ class OvsSwitch:
                 self._finish_microflow_hit(entry, now, batch, materialize)
             else:
                 run.append(key)
-                run_set.add(key)
+                if split_repeats:
+                    run_set.add(key)
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
         return batch

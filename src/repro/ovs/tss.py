@@ -134,12 +134,19 @@ class Subtable:
 
     def credit_hits(self, n: int) -> None:
         """Record ``n`` lookup hits at once — the batched consume loops
-        group consecutive hits on the same subtable and credit them in
-        one call.  Integer adds, so exactly equivalent to ``n``
-        :meth:`credit_hit` calls (``rank_hits`` may be a float after a
-        ranked re-sort halving; adding an int keeps it exact)."""
+        fold the hits of a burst per subtable and credit them in one
+        call, exactly as ``n`` :meth:`credit_hit` calls would.  After a
+        ranked re-sort halving ``rank_hits`` is a float, and ``x + n``
+        can round differently from ``n`` successive ``+ 1``: that case
+        adds one at a time."""
         self.hits += n
-        self.rank_hits += n
+        if n == 1 or type(self.rank_hits) is int:
+            self.rank_hits += n
+            return
+        rank = self.rank_hits
+        for _ in range(n):
+            rank += 1
+        self.rank_hits = rank
 
     def insert(self, masked_values: tuple[int, ...], entry: object) -> None:
         """Add or replace the entry stored under ``masked_values``."""
@@ -268,6 +275,9 @@ class TupleSpaceSearch:
         #: / revalidator-driven re-sorts)
         self.resort_interval = resort_interval
         self._subtables: dict[tuple[int, ...], Subtable] = {}
+        #: entries across all subtables, kept in step by every mutation
+        #: (the megaflow flow-limit check reads it on each install)
+        self._entry_count = 0
         # the pvector: ranked scan order, compacted lazily after removals
         self._scan_list: list[Subtable] = []
         self._scan_dead = 0
@@ -308,7 +318,7 @@ class TupleSpaceSearch:
     @property
     def entry_count(self) -> int:
         """Total megaflow entries across all subtables."""
-        return sum(len(subtable) for subtable in self._subtables.values())
+        return self._entry_count
 
     def _ranked_tables(self) -> list[Subtable]:
         """The ranked scan list, compacted if subtables died since."""
@@ -352,8 +362,12 @@ class TupleSpaceSearch:
 
     def insert(self, masks: tuple[int, ...], masked_values: tuple[int, ...],
                entry: object) -> None:
-        """Insert an entry under its mask's subtable."""
-        self.get_or_create_subtable(masks).insert(masked_values, entry)
+        """Insert an entry under its mask's subtable (replacing any
+        entry already stored under ``masked_values``)."""
+        subtable = self.get_or_create_subtable(masks)
+        if masked_values not in subtable.entries:
+            self._entry_count += 1
+        subtable.insert(masked_values, entry)
 
     def remove(self, masks: tuple[int, ...], masked_values: tuple[int, ...]) -> None:
         """Remove an entry; empty subtables disappear (as OVS destroys
@@ -362,6 +376,7 @@ class TupleSpaceSearch:
         if subtable is None:
             raise KeyError(f"no subtable for mask {masks}")
         subtable.remove(masked_values)
+        self._entry_count -= 1
         if not subtable.entries:
             del self._subtables[masks]
             if self.scan_order == "ranked":
@@ -374,6 +389,7 @@ class TupleSpaceSearch:
     def clear(self) -> None:
         """Drop every subtable."""
         self._subtables.clear()
+        self._entry_count = 0
         self._scan_list.clear()
         self._scan_dead = 0
 

@@ -5,7 +5,7 @@ full DoS); its absolute Gbps are artefacts of the authors' testbed.  We
 therefore split performance into two layers:
 
 * :class:`CostModel` — per-packet cycle costs for each pipeline path,
-  calibrated (see DESIGN.md §6) so that the paper's anchors hold:
+  calibrated (see :mod:`repro.perf.costmodel`) so that the paper's anchors hold:
   512 masks ⇒ ≈10 % of peak, 8192 masks ⇒ <2 % (DoS), ≤8 masks ⇒ ≥90 %.
   The *shape* — capacity ∝ 1/(a + b·masks) — is structural: it follows
   from the TSS sequential scan, not from the calibration.

@@ -1,6 +1,6 @@
 """Per-packet cycle costs for the OVS pipeline paths.
 
-Calibration (DESIGN.md §6).  Let ``C_b`` be the megaflow-path base cost
+Calibration.  Let ``C_b`` be the megaflow-path base cost
 (flow extraction, EMC miss, action execution) and ``C_p`` the cost of
 probing one TSS subtable.  Flow-diverse traffic that misses the
 exact-match layer costs ``C_b + s·C_p`` where ``s`` is the number of

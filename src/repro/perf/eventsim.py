@@ -1,8 +1,9 @@
 """Event-driven micro-simulation for validating the analytic models.
 
-The main simulator treats the victim aggregate analytically (DESIGN.md
-§6); this module provides the ground truth it is validated against: a
-small packet-by-packet simulation that drives a **real**
+The main simulator treats the victim aggregate analytically (the
+calibration in :mod:`repro.perf.costmodel`); this module provides the
+ground truth it is validated against: a small packet-by-packet
+simulation that drives a **real**
 :class:`~repro.ovs.microflow.MicroflowCache` with interleaved victim
 and attacker arrivals and measures the victim's actual hit rate.
 

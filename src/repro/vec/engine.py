@@ -22,11 +22,16 @@ Three pieces, each a drop-in specialisation of its reference class:
   falls back to reference dict probes over just that block's
   subtables, so the answer is always exact.  Resolved keys drop out of
   later blocks exactly where the reference scan would have stopped
-  probing.  Crediting, accounting, the prefix contract and ranked
+  probing.  Each distinct key of a call is scanned once — up to
+  ``SCAN_WINDOW`` distinct keys per call, which bounds the scan's
+  ``(keys × BLOCK)`` scratch arrays however many duplicates the burst
+  carries.  Crediting, accounting, the prefix contract and ranked
   auto-re-sort boundaries then replay the reference consume loop
-  (counter sums are batched — ``_account`` is pure addition, and the
-  ranked burst cap guarantees a resort can only fire on the final
-  consumed lookup), so results are bit-identical to the scalar scan.
+  folded per distinct key (credits and ``_account`` are pure
+  addition, and the ranked burst cap guarantees a resort can only fire
+  on the final consumed lookup), so results are bit-identical to the
+  scalar scan; the folded hits ride along on the returned
+  :class:`BurstResults` for aggregate-only callers.
   Configurations the packed mirror cannot serve (staged lookup, the
   per-scan-resorting ``"hits"`` order, tuple key mode), bursts too
   small to amortise the NumPy overhead, and tuple spaces holding many
@@ -43,11 +48,16 @@ Three pieces, each a drop-in specialisation of its reference class:
   upcalls, revalidator sweeps, install guards, EMC inserts and their
   RNG draws — is replayed through the inherited reference code on the
   gathered misses, which is what keeps the engine byte-for-byte
-  identical to ``ovs``.
+  identical to ``ovs``.  When the EMC cannot store (insertion
+  probability 0), runs do not split at repeated keys, and in
+  aggregate-only mode the hit bookkeeping is applied once per distinct
+  key: a tick that replays a covert lap several times scans and books
+  each covert key once.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
@@ -106,6 +116,16 @@ class VecSubtable(Subtable):
         return self.vec_lanes, self.vec_entries, self.vec_mask
 
 
+class BurstResults(list):
+    """One columnar :meth:`VecTupleSpaceSearch.lookup_batch` call's
+    per-key results in key order (duplicate keys share one result
+    object), plus ``hits``: the hit prefix folded per distinct key, one
+    ``(result, count)`` pair each in first-seen order.  Aggregate-only
+    callers apply their per-hit bookkeeping once per pair."""
+
+    __slots__ = ("hits",)
+
+
 class VecTupleSpaceSearch(TupleSpaceSearch):
     """Tuple space search with a NumPy-columnar burst lookup."""
 
@@ -123,6 +143,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: entry columns scanned per block — small enough that every
     #: per-lane pass stays on a cache-friendly contiguous buffer
     BLOCK = 96
+    #: distinct keys one dense scan resolves at most: it bounds the
+    #: ``(keys × BLOCK)`` scratch arrays however many duplicates a
+    #: burst carries
+    SCAN_WINDOW = 1024
 
     def __init__(
         self,
@@ -210,11 +234,23 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     # -- the vectorized burst lookup ----------------------------------------
 
+    def _scratch(self, rows: int):
+        """The per-block work arrays of one dense scan: the fingerprint
+        accumulator, a lane buffer and the match flags, one row per
+        distinct key (so never more than ``SCAN_WINDOW`` rows)."""
+        shape = (rows, self.BLOCK)
+        return (np.empty(shape, dtype=np.uint64),
+                np.empty(shape, dtype=np.uint64),
+                np.empty(shape, dtype=bool))
+
     def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
         """The reference burst contract (prefix of leading hits plus the
         first miss, accounting applied in key order), resolved
         column-major in fingerprint blocks instead of one dict probe
-        per key per subtable."""
+        per key per subtable.  One call scans at most ``SCAN_WINDOW``
+        distinct keys (raw keys on the scalar fallback); the prefix
+        contract hands the rest back to the caller."""
+        window = self.SCAN_WINDOW
         if (
             self.staged
             or self.scan_order == "hits"
@@ -223,7 +259,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         ):
             # paths the packed columnar mirror cannot serve, or bursts
             # too small to win; the reference handles them (same results)
-            return super().lookup_batch(keys)
+            return super().lookup_batch(keys[:window])
         limit = len(keys)
         if self.scan_order == "ranked":
             tables = self._ranked_tables()
@@ -237,24 +273,31 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             tables = list(self._subtables.values())
         n_tables = len(tables)
         if not n_tables or limit < self.VEC_MIN_BATCH:
-            return super().lookup_batch(keys)
+            return super().lookup_batch(keys[:window])
         dense = self._dense_mirror(tables)
         if dense is None:
-            return super().lookup_batch(keys)
+            return super().lookup_batch(keys[:window])
         mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of, n_cols = \
             dense
 
         codec = self.codec
         # burst dedup: the scan is pure (all mutation happens in the
         # consume step below), so identical keys in one burst — elephant
-        # flows, benign victim traffic — are scanned once and their
-        # result replicated; crediting and accounting stay per *key*,
-        # keeping counters bit-identical.  The covert attack stream is
-        # all-distinct by construction, so it pays the full scan
-        packed_cache = [key.packed for key in keys[:limit]]
+        # flows, a covert lap replayed several times per tick — are
+        # scanned once and their result shared.  Distinct keys are
+        # numbered in first-seen order, a window of raw keys at a time
+        # until the scan window overflows; the prefix stops before the
+        # first key past it
         uniq: dict[int, int] = {}
-        rep = [uniq.setdefault(p, len(uniq)) for p in packed_cache]
-        uniq_packed = list(uniq)
+        rep: list[int] = []
+        for at in range(0, limit, window):
+            rep += [uniq.setdefault(key.packed, len(uniq))
+                    for key in keys[at:min(at + window, limit)]]
+            if len(uniq) > window:
+                limit = rep.index(window)
+                del rep[limit:]
+                break
+        uniq_packed = list(uniq)[:window]
         n_uniq = len(uniq_packed)
         lanes = codec.encode_ints(uniq_packed)  # (n_uniq, L)
         n_lanes = codec.lanes
@@ -264,9 +307,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         u_entry: list = [None] * n_uniq
         u_table: list = [None] * n_uniq
         u_depth = [0] * n_uniq
-        fold = np.empty((n_uniq, block), dtype=np.uint64)
-        buf = np.empty((n_uniq, block), dtype=np.uint64)
-        eqb = np.empty((n_uniq, block), dtype=bool)
+        fold, buf, eqb = self._scratch(n_uniq)
         for start in range(0, n_cols, block):
             if pending.size == 0:
                 break
@@ -337,45 +378,40 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                                 break
                 pending = pending[~matched]
         # consume the leading hits (plus the first miss) in key order.
-        # _account is pure counter addition, so the burst's calls are
-        # summed; per-key order only matters for the ranked auto-resort
-        # tick, and the limit cap above guarantees the burst cannot
-        # cross a resort boundary before its final consumed lookup —
-        # applying the summed tick afterwards fires the same resort at
-        # the same lookup count as the reference's per-key calls
-        n_hits = limit
-        for i in range(limit):
-            if u_entry[rep[i]] is None:
-                n_hits = i
-                break
-        # rank credits are grouped: consecutive hits on the same
-        # subtable (duplicate keys, elephant-flow bursts) fold into one
-        # credit_hits(n) call — integer adds, so the counters land
-        # exactly where per-key credit_hit calls would put them
-        results: list[TssLookupResult] = []
+        # In first-seen numbering the lowest-numbered distinct key
+        # without an entry (the scan leaves them pending in ascending
+        # order) is the first miss, and the keys before its first
+        # occurrence are exactly the distinct keys numbered below it —
+        # all hits.  Everything the reference applies per key is
+        # addition (hit credits, touches, _account's sums), so it folds
+        # per distinct key; per-key order only matters for the ranked
+        # auto-resort tick, and the limit cap above guarantees the burst
+        # cannot cross a resort boundary before its final consumed
+        # lookup — applying the summed tick afterwards fires the same
+        # resort at the same lookup count as the reference's per-key
+        # calls
+        n_hit_keys = int(pending[0]) if pending.size else n_uniq
+        n_hits = rep.index(n_hit_keys) if pending.size else limit
+        counts = np.bincount(
+            np.array(rep[:n_hits], dtype=np.intp), minlength=n_hit_keys
+        ).tolist()
+        shared: list[TssLookupResult] = []
+        hits: list[tuple[TssLookupResult, int]] = []
         scanned = 0
-        last_table = None
-        pending_credits = 0
-        for i in range(n_hits):
-            u = rep[i]
+        for u in range(n_hit_keys):
             depth = u_depth[u]
-            results.append(TssLookupResult(u_entry[u], depth, depth))
-            table = u_table[u]
-            if table is last_table:
-                pending_credits += 1
-            else:
-                if pending_credits:
-                    last_table.credit_hits(pending_credits)
-                last_table = table
-                pending_credits = 1
-            scanned += depth
-        if pending_credits:
-            last_table.credit_hits(pending_credits)
-        consumed = n_hits
+            count = counts[u]
+            result = TssLookupResult(u_entry[u], depth, depth)
+            shared.append(result)
+            hits.append((result, count))
+            u_table[u].credit_hits(count)
+            scanned += depth * count
+        results = BurstResults(map(shared.__getitem__, rep[:n_hits]))
+        results.hits = hits
         if n_hits < limit:
             results.append(TssLookupResult(None, n_tables, n_tables))
-            consumed += 1
             scanned += n_tables
+        consumed = len(results)
         self.total_lookups += consumed
         self.total_tuples_scanned += scanned
         self.total_hash_probes += scanned
@@ -479,12 +515,24 @@ class VecSwitch(OvsSwitch):
     * :meth:`process_batch` pre-probes the EMC vectorized and skips the
       per-key Python probe for keys the store proves absent;
     * keys that miss are gathered into runs and replayed through the
-      inherited ``_flush_run``/``_finish_*`` machinery, in key order.
+      inherited ``_finish_*`` machinery, in key order.  When the EMC
+      cannot store (:attr:`~repro.ovs.microflow.MicroflowCache.
+      can_store`) a repeated key does not split its run, so a burst
+      that replays its keys several times reaches the scan as one run
+      and each distinct key is scanned once per ``SCAN_WINDOW``;
+    * in aggregate-only mode with such an EMC, the hit bookkeeping —
+      entry touches, subtable credits, switch and batch counters — is
+      applied once per distinct key with its count.
     """
 
     #: bursts below this size take the inherited scalar pipeline (the
     #: vectorized probe cannot amortise its setup); results identical
     VEC_MIN_BATCH = 8
+    #: no raw-key cap on a chunk: the columnar scan bounds each call at
+    #: ``VecTupleSpaceSearch.SCAN_WINDOW`` distinct keys (raw keys on
+    #: its scalar fallback) and returns the prefix it resolved, so the
+    #: window only ramps back up after an upcall
+    MAX_BATCH_WINDOW = sys.maxsize
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, name: str = "ovs-vec",
                  **kwargs) -> None:
@@ -530,41 +578,63 @@ class VecSwitch(OvsSwitch):
         and batch counters once instead of per packet.  The per-key
         work that is stateful stays per-key, in key order — the EMC
         insert (its RNG draw and any stored slot) and, in materialized
-        mode, the ``PacketResult`` list the caller reads — so the exit
-        state is bit-identical to the reference loop."""
+        mode, the ``PacketResult`` list the caller reads.  In
+        aggregate-only mode with an EMC that cannot store there is no
+        such work: the lookup's hits come folded per distinct key and
+        everything is applied once per distinct key with its count, so
+        the exit state is bit-identical to the reference loop."""
         start = 0
         window = self._batch_window
         n = len(run)
         stats = self.stats
         insert = self.microflow.insert
         note_insert = self._note_emc_insert
+        fold = not materialize and not self.microflow.can_store
+        tss = self.megaflow.tss
         while start < n:
             chunk = run[start:start + window]
-            results = self.megaflow.lookup_batch(chunk, now)
+            forwarded = 0
+            tuples = 0
+            probes = 0
+            if fold:
+                results = tss.lookup_batch(chunk)
+                hits = (results.hits if isinstance(results, BurstResults)
+                        else [(result, 1) for result in results
+                              if result.hit])
+                for result, count in hits:
+                    # the megaflow layer's touch and the hit counters,
+                    # once per distinct key (per key on the scalar
+                    # fallback's plain list)
+                    entry = result.entry
+                    entry.touch(now, count)
+                    tuples += result.tuples_scanned * count
+                    probes += result.hash_probes * count
+                    if entry.action.is_forwarding():
+                        forwarded += count
+            else:
+                results = self.megaflow.lookup_batch(chunk, now)
             if results and results[-1].hit:
-                append = batch.results.append
-                forwarded = 0
-                tuples = 0
-                probes = 0
-                for key, tss_result in zip(chunk, results):
-                    entry = tss_result.entry
-                    if insert(key, entry, now):
-                        note_insert(key)
-                    tuples += tss_result.tuples_scanned
-                    probes += tss_result.hash_probes
-                    if materialize:
-                        result = PacketResult(
-                            action=entry.action,
-                            path=LookupPath.MEGAFLOW,
-                            tuples_scanned=tss_result.tuples_scanned,
-                            hash_probes=tss_result.hash_probes,
-                            entry=entry,
-                        )
-                        append(result)
-                        if result.forwarded:
+                if not fold:
+                    append = batch.results.append
+                    for key, tss_result in zip(chunk, results):
+                        entry = tss_result.entry
+                        if insert(key, entry, now):
+                            note_insert(key)
+                        tuples += tss_result.tuples_scanned
+                        probes += tss_result.hash_probes
+                        if materialize:
+                            result = PacketResult(
+                                action=entry.action,
+                                path=LookupPath.MEGAFLOW,
+                                tuples_scanned=tss_result.tuples_scanned,
+                                hash_probes=tss_result.hash_probes,
+                                entry=entry,
+                            )
+                            append(result)
+                            if result.forwarded:
+                                forwarded += 1
+                        elif entry.action.is_forwarding():
                             forwarded += 1
-                    elif entry.action.is_forwarding():
-                        forwarded += 1
                 served = len(results)
                 stats.megaflow_hits += served
                 stats.tuples_scanned += tuples
@@ -616,6 +686,7 @@ class VecSwitch(OvsSwitch):
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
         microflow = self.microflow
+        split_repeats = microflow.can_store
         # a provably-empty store answers every probe "no" — skip even
         # the batch encode (the common state with EMC insertion off)
         maybe = None if store.empty else store.probe(
@@ -624,9 +695,10 @@ class VecSwitch(OvsSwitch):
         if maybe is None or (not overlay and not maybe.any()):
             # the whole burst is proven absent from the EMC (the common
             # shape of a cold covert lap): no key pays a per-key cache
-            # probe, runs split only at within-burst duplicates, and the
-            # per-packet counter ticks are deferred to one bulk add each
-            # — nothing reads them mid-batch, so the exit state is
+            # probe, runs split only at repeated keys the EMC could
+            # have stored meanwhile (never, with insertion off), and
+            # the per-packet counter ticks are deferred to one bulk add
+            # each — nothing reads them mid-batch, so the exit state is
             # bit-identical to the per-key loop
             certain_misses = 0
             for key in keys:
@@ -635,7 +707,8 @@ class VecSwitch(OvsSwitch):
                 # a flush's insert actually stores one)
                 possible = bool(overlay) and key in overlay
                 if run and (
-                    key in run_set or (possible and microflow.contains(key))
+                    (split_repeats and key in run_set)
+                    or (possible and microflow.contains(key))
                 ):
                     self._flush_run(run, run_set, batch, now, materialize)
                     # the flush may have installed this very key (every
@@ -653,7 +726,8 @@ class VecSwitch(OvsSwitch):
                     self._finish_microflow_hit(entry, now, batch, materialize)
                 else:
                     run.append(key)
-                    run_set.add(key)
+                    if split_repeats:
+                        run_set.add(key)
             self.stats.packets += len(keys)
             microflow.lookups += certain_misses
             if run:
@@ -669,7 +743,8 @@ class VecSwitch(OvsSwitch):
             # catches keys inserted since the probe's snapshot)
             possible = flags[i] or key in overlay
             if run and (
-                key in run_set or (possible and microflow.contains(key))
+                (split_repeats and key in run_set)
+                or (possible and microflow.contains(key))
             ):
                 self._flush_run(run, run_set, batch, now, materialize)
                 # the flush may have inserted this very key (every
@@ -688,7 +763,8 @@ class VecSwitch(OvsSwitch):
                 self._finish_microflow_hit(entry, now, batch, materialize)
             else:
                 run.append(key)
-                run_set.add(key)
+                if split_repeats:
+                    run_set.add(key)
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
         return batch

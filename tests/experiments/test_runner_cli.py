@@ -9,7 +9,7 @@ from repro.experiments.runner import main as runner_main
 
 class TestRunner:
     def test_experiment_registry_covers_design_index(self):
-        # every experiment id from DESIGN.md §4 that has a runner entry,
+        # the paper-artefact experiments E1–E7 that have a runner entry,
         # plus the subtable-ranking (E8), multi-PMD sharding (E9),
         # RETA rebalancing (E10) and fleet campaign (E11) ablations
         assert set(EXPERIMENTS) == {
@@ -87,6 +87,14 @@ class TestCliMisc:
     def test_experiment_dispatch(self, capsys):
         assert main(["experiment", "masks"]) == 0
         assert "8192" in capsys.readouterr().out
+
+    def test_experiment_csv_dumps(self, tmp_path, capsys):
+        # the documented `python -m repro experiment --csv out/`
+        out = tmp_path / "out"
+        assert main(["experiment", "fig2", "masks", "--csv", str(out)]) == 0
+        assert "00001010" in (out / "fig2.csv").read_text()
+        for name in ("prefix8", "k8s", "openstack", "calico"):
+            assert (out / f"masks-{name}.csv").exists()
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -13,7 +13,7 @@ from repro.perf.factory import profile_by_name, switch_for_profile
 
 
 class TestPaperAnchors:
-    """The calibration contract from DESIGN.md §6."""
+    """The calibration contract in ``repro.perf.costmodel``'s docstring."""
 
     def test_512_masks_is_about_10_percent(self):
         # "slowing it down to 10% of the peak performance"
