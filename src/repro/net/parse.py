@@ -22,13 +22,21 @@ from repro.net.layers import Layer, Raw
 
 
 class ParseError(ValueError):
-    """Raised when a frame is too short to contain the advertised header."""
+    """Raised when a frame is too short to contain the advertised header.
+
+    ``reason`` is a short stable label for the defect, for callers that
+    count malformed frames by kind."""
+
+    def __init__(self, message: str, reason: str = "malformed") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 def parse_ethernet(data: bytes) -> Ethernet:
     """Parse an Ethernet frame and its nested layers from wire bytes."""
     if len(data) < Ethernet.HEADER_LEN:
-        raise ParseError(f"frame too short for Ethernet: {len(data)} bytes")
+        raise ParseError(f"frame too short for Ethernet: {len(data)} bytes",
+                         reason="short-ethernet")
     eth = Ethernet(
         dst=data[0:6],
         src=data[6:12],

@@ -21,6 +21,12 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
 
+class PcapTruncatedError(ValueError):
+    """The capture ends inside a record header or a packet body (a
+    capture cut short, e.g. by a full disk or a killed writer).  Every
+    complete record before the cut has already been yielded."""
+
+
 @dataclass(frozen=True)
 class PcapPacket:
     """One captured packet: seconds + microseconds timestamp and bytes."""
@@ -126,11 +132,11 @@ class PcapReader:
                 if not raw:
                     return
                 if len(raw) < record.size:
-                    raise ValueError(f"{self.path} ends mid-record")
+                    raise PcapTruncatedError(f"{self.path} ends mid-record")
                 ts_sec, ts_usec, incl_len, _orig_len = record.unpack(raw)
                 data = handle.read(incl_len)
                 if len(data) < incl_len:
-                    raise ValueError(f"{self.path} ends mid-packet")
+                    raise PcapTruncatedError(f"{self.path} ends mid-packet")
                 yield PcapPacket(ts_sec + ts_usec / 1_000_000, data)
 
     def read_all(self) -> list[PcapPacket]:

@@ -15,7 +15,7 @@ from repro.flow.actions import Action
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
-from repro.ovs.tss import TssLookupResult, TupleSpaceSearch
+from repro.ovs.tss import BurstResults, TssLookupResult, TupleSpaceSearch
 
 #: OVS's default datapath flow limit (ovs-vswitchd ``flow-limit``)
 DEFAULT_FLOW_LIMIT = 200_000
@@ -122,9 +122,17 @@ class MegaflowCache:
         """Batched TSS lookup over a burst of keys (see
         :meth:`~repro.ovs.tss.TupleSpaceSearch.lookup_batch`): returns
         results for a prefix of ``keys`` — the leading hits plus the
-        first miss — with every hit entry touched in key order, exactly
-        as per-key :meth:`lookup` calls would."""
+        first miss — with every hit entry touched exactly as per-key
+        :meth:`lookup` calls would (once per distinct key with its
+        count when the scan returns :class:`~repro.ovs.tss.
+        BurstResults`)."""
         results = self.tss.lookup_batch(keys)
+        if isinstance(results, BurstResults):
+            # touches are additive: one per distinct hit key with its
+            # count leaves every entry as the per-key touches would
+            for result, count in results.hits:
+                result.entry.touch(now, count)  # type: ignore[union-attr]
+            return results
         for result in results:
             if result.entry is not None:
                 entry: MegaflowEntry = result.entry  # type: ignore[assignment]

@@ -133,7 +133,78 @@ def shard_seed(seed: int, shard: int) -> int:
     return (seed + shard * 0x9E3779B97F4A7C15) & 0x7FFF_FFFF_FFFF_FFFF
 
 
-class ShardedDatapath:
+class RssDispatch:
+    """RSS steering, shared by every multi-PMD datapath: the steering
+    mask over the packed key, the RETA (``reta_size`` buckets, starting
+    as the identity spread ``bucket % shards``), each key's bucket and
+    shard, and the split of a burst into per-shard sub-bursts.
+
+    :meth:`bucket_of` memoizes each key's bucket by ``key.packed`` — a
+    covert or benign working set re-hashes the same keys every burst.
+    The memo holds buckets, never shards, so RETA remaps stay exact,
+    and it is cleared once it passes ``BUCKET_MEMO_LIMIT`` keys, so its
+    memory stays bounded whatever the key churn.
+    """
+
+    #: distinct keys the bucket memo holds before it starts over
+    BUCKET_MEMO_LIMIT = 1 << 14
+
+    def __init__(self, space: FieldSpace, shards: int,
+                 rss_fields: Sequence[str] | None,
+                 reta_size: int) -> None:
+        fields = tuple(f for f in (rss_fields or RSS_FIELDS) if f in space)
+        # the RSS hash input: mask the packed key down to the steering
+        # fields with one precomputed AND (zero per-field work per packet)
+        self._rss_mask = space.pack(
+            tuple(
+                spec.max_value if spec.name in fields else 0
+                for spec in space.specs
+            )
+        ) if fields else 0
+        self.rss_fields = fields
+        #: the RSS indirection table: bucket -> shard index.  Starts as
+        #: the identity spread (bucket % shards), which dispatches
+        #: exactly like ``rss_hash(key) % shards`` (see
+        #: :func:`effective_reta_size`); a rebalancer remaps entries.
+        self.reta_size = effective_reta_size(reta_size, shards)
+        self.reta: list[int] = [b % shards for b in range(self.reta_size)]
+        self._single_shard = shards == 1
+        self._bucket_memo: dict[int, int] = {}
+
+    def bucket_of(self, key: FlowKey) -> int:
+        """The RETA bucket ``key``'s packets hash to (stable across
+        rebalances: only the bucket→shard map moves, never the hash)."""
+        packed = key.packed
+        memo = self._bucket_memo
+        bucket = memo.get(packed)
+        if bucket is None:
+            if len(memo) >= self.BUCKET_MEMO_LIMIT:
+                memo.clear()
+            bucket = rss_hash(packed & self._rss_mask) % self.reta_size
+            memo[packed] = bucket
+        return bucket
+
+    def shard_of(self, key: FlowKey) -> int:
+        """The shard index ``key``'s packets are steered to, under the
+        *current* indirection table."""
+        if self._single_shard:
+            return 0
+        return self.reta[self.bucket_of(key)]
+
+    def group_by_shard(self, keys: Iterable[FlowKey]
+                       ) -> dict[int, list[FlowKey]]:
+        """Split a burst into per-shard sub-bursts, each in arrival
+        order (as a NIC queue would keep it), keyed by shard index in
+        order of each shard's first key."""
+        by_shard: dict[int, list[FlowKey]] = {}
+        reta = self.reta
+        bucket_of = self.bucket_of
+        for key in keys:
+            by_shard.setdefault(reta[bucket_of(key)], []).append(key)
+        return by_shard
+
+
+class ShardedDatapath(RssDispatch):
     """N per-PMD :class:`OvsSwitch` shards behind an RSS dispatcher.
 
     ``shard_factory(i)`` builds shard ``i``'s switch — callers derive
@@ -169,24 +240,7 @@ class ShardedDatapath:
         self.name = name
         self.space = space
         self.shards: list[OvsSwitch] = [shard_factory(i) for i in range(shards)]
-        fields = tuple(
-            f for f in (rss_fields or RSS_FIELDS) if f in space
-        )
-        # the RSS hash input: mask the packed key down to the steering
-        # fields with one precomputed AND (zero per-field work per packet)
-        self._rss_mask = space.pack(
-            tuple(
-                spec.max_value if spec.name in fields else 0
-                for spec in space.specs
-            )
-        ) if fields else 0
-        self.rss_fields = fields
-        #: the RSS indirection table: bucket -> shard index.  Starts as
-        #: the identity spread (bucket % shards), which dispatches
-        #: exactly like ``rss_hash(key) % shards`` (see
-        #: :func:`effective_reta_size`); the rebalancer remaps entries.
-        self.reta_size = effective_reta_size(reta_size, shards)
-        self.reta: list[int] = [b % shards for b in range(self.reta_size)]
+        super().__init__(space, shards, rss_fields, reta_size)
         # per-bucket load window (reset on every rebalance pass):
         # packets dispatched, TSS subtables they scanned, and external
         # cycle charges (the simulator's cost-model view of the same
@@ -211,18 +265,6 @@ class ShardedDatapath:
         if now is not None and now > self.clock:
             self.clock = now
         return self.clock
-
-    def bucket_of(self, key: FlowKey) -> int:
-        """The RETA bucket ``key``'s packets hash to (stable across
-        rebalances: only the bucket→shard map moves, never the hash)."""
-        return rss_hash(key.packed & self._rss_mask) % self.reta_size
-
-    def shard_of(self, key: FlowKey) -> int:
-        """The shard index ``key``'s packets are steered to, under the
-        *current* indirection table."""
-        if len(self.shards) == 1:
-            return 0
-        return self.reta[self.bucket_of(key)]
 
     def shard_for(self, key: FlowKey) -> OvsSwitch:
         """The shard switch serving ``key`` (the simulator's per-flow
@@ -278,7 +320,6 @@ class ShardedDatapath:
             return shards[0].process_batch(keys, now=now,
                                            materialize=materialize)
         self._advance(now)
-        keys = list(keys)
         if not materialize:
             if self.rebalancer.enabled:
                 raise ValueError(
@@ -287,14 +328,8 @@ class ShardedDatapath:
                     "feeds on; disable rebalancing (rebalance_interval=0) "
                     "or use materialized results"
                 )
-            by_shard: dict[int, list[FlowKey]] = {}
-            reta = self.reta
-            for key in keys:
-                by_shard.setdefault(
-                    reta[self.bucket_of(key)], []
-                ).append(key)
             batch = BatchResult()
-            for shard, sub_keys in by_shard.items():
+            for shard, sub_keys in self.group_by_shard(keys).items():
                 sub = shards[shard].process_batch(sub_keys, now=now,
                                                   materialize=False)
                 batch.packets += sub.packets
@@ -307,6 +342,7 @@ class ShardedDatapath:
                 batch.megaflow_hits += sub.megaflow_hits
                 batch.installed.extend(sub.installed)
             return batch
+        keys = list(keys)
         key_buckets = [self.bucket_of(key) for key in keys]
         by_position: dict[int, list[int]] = {}
         for position, bucket in enumerate(key_buckets):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.flow.actions import Action
@@ -35,6 +36,7 @@ from repro.ovs.megaflow import (
 from repro.ovs.microflow import MicroflowCache
 from repro.ovs.revalidator import Revalidator
 from repro.ovs.stats import SwitchStats
+from repro.ovs.tss import BurstResults
 from repro.ovs.upcall import InstallGuard, SlowPath
 from repro.util.rng import DeterministicRng
 
@@ -274,71 +276,139 @@ class OvsSwitch:
         the same ``now`` — bit-identical results, stats and cache state
         — but the per-burst overhead is amortised: the clock update and
         revalidator check run once, and runs of keys that miss the
-        exact-match layer are looked up through the TSS in *bucketed*
-        chunks (:meth:`~repro.ovs.tss.TupleSpaceSearch.lookup_batch`
-        walks the subtable pvector once per chunk instead of once per
-        key).  A run breaks wherever sequential semantics demand it: at
-        keys the EMC may already hold (their outcome depends on the
-        run's pending inserts), at duplicates within the run when the
-        EMC can store them (see :attr:`~repro.ovs.microflow.
-        MicroflowCache.can_store`), and at every TSS miss (the upcall
-        mutates the tuple space; ``lookup_batch``'s prefix contract
-        rescans the keys after it).  Chunks ramp up from one key, reset
-        on a miss, and keep their size across runs, so miss-heavy
-        bursts degrade gracefully to exactly the per-key work while
-        hit-heavy steady states scan whole runs in one chunk.  As with
-        :meth:`process`, a stale ``now`` is clamped to the monotonic
-        clock.
+        exact-match layer are drained through the TSS in *bucketed*
+        chunks (see :meth:`_flush_run`).  As with :meth:`process`, a
+        stale ``now`` is clamped to the monotonic clock.
+
+        When the EMC can store (:attr:`~repro.ovs.microflow.
+        MicroflowCache.can_store`), a run breaks wherever sequential
+        semantics demand it: at keys the EMC may already hold (their
+        outcome depends on the run's pending inserts) and at keys
+        repeated within the run.  When it cannot (insertion
+        probability 0, the ``kernel-noemc`` operator response), the
+        cache stays empty for its whole life and each of its lookups
+        only ticks the lookup counter: the whole burst is one run, and
+        ``stats.packets`` and ``microflow.lookups`` grow by the burst
+        size once instead of per key.  Either way every TSS miss ends a
+        chunk (the upcall mutates the tuple space; ``lookup_batch``'s
+        prefix contract rescans the keys after it).
 
         ``materialize=False`` selects the aggregate-only result mode:
         cache state, stats and every :class:`BatchResult` counter are
         bit-identical to the default, but no :class:`PacketResult`
         objects are built and ``results`` stays empty — callers that
         only consume the sums (cost charging, the parallel runtime's
-        wire format) skip the per-packet object churn.
+        wire format) skip the per-packet object churn.  With an EMC
+        that cannot store, this mode also folds the megaflow-hit
+        bookkeeping per distinct key.
         """
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         batch = BatchResult()
+        microflow = self.microflow
+        if not microflow.can_store:
+            run = keys if isinstance(keys, (list, tuple)) else list(keys)
+            self.stats.packets += len(run)
+            microflow.lookups += len(run)
+            if run:
+                self._flush_run(run, batch, now, materialize)
+            return batch
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
-        split_repeats = self.microflow.can_store
         for key in keys:
-            if run and (
-                (split_repeats and key in run_set)
-                or self.microflow.contains(key)
-            ):
+            if run and (key in run_set or microflow.contains(key)):
                 # this key's EMC lookup does not commute with the run's
                 # pending inserts: flush first, then look it up at its
                 # true sequential point
-                self._flush_run(run, run_set, batch, now, materialize)
+                self._flush_run(run, batch, now, materialize)
+                run.clear()
+                run_set.clear()
             self.stats.packets += 1
-            entry = self.microflow.lookup(key, now)
+            entry = microflow.lookup(key, now)
             if entry is not None:
                 self._finish_microflow_hit(entry, now, batch, materialize)
             else:
                 run.append(key)
-                if split_repeats:
-                    run_set.add(key)
+                run_set.add(key)
         if run:
-            self._flush_run(run, run_set, batch, now, materialize)
+            self._flush_run(run, batch, now, materialize)
         return batch
 
-    def _flush_run(self, run: list[FlowKey], run_set: set[FlowKey],
-                   batch: BatchResult, now: float,
-                   materialize: bool = True) -> None:
-        """Drain a run of EMC-missed keys through the TSS in bucketed
-        chunks, falling back to chunk-of-one around upcalls.  The chunk
-        window carries over between runs: every chunk is validated by
-        the prefix contract regardless of its size, so the ramp is a
-        pure cost heuristic — misses shrink it, clean chunks grow it."""
+    def _flush_run(self, run: Sequence[FlowKey], batch: BatchResult,
+                   now: float, materialize: bool = True) -> None:
+        """Drain a run of EMC-missed keys through the megaflow layer in
+        bucketed chunks, falling back to chunk-of-one around upcalls.
+
+        The chunk window carries over between runs: every chunk is
+        validated by the prefix contract regardless of its size, so the
+        ramp is a pure cost heuristic — misses shrink it, clean chunks
+        grow it.  A clean chunk (every key hit; the prefix contract
+        puts the only possible miss last) applies the switch and batch
+        counters once.  Its per-key stateful work stays per key, in
+        key order: the EMC insert (its RNG draw and any stored slot)
+        and, in materialized mode, the :class:`PacketResult` list.  In
+        aggregate-only mode with an EMC that cannot store there is no
+        such work, so the counters fold per distinct key when the scan
+        returns :class:`~repro.ovs.tss.BurstResults` and per key on a
+        plain result list.  A chunk that ends in a miss is replayed
+        through the ``_finish_*`` finishers."""
         start = 0
         window = self._batch_window
         n = len(run)
+        stats = self.stats
+        insert = self.microflow.insert
+        note_insert = self._note_emc_insert
+        fold = not materialize and not self.microflow.can_store
+        lookup_batch = self.megaflow.lookup_batch
         while start < n:
             chunk = run[start:start + window]
-            results = self.megaflow.lookup_batch(chunk, now)
-            clean = True
+            results = lookup_batch(chunk, now)
+            if results[-1].hit:
+                forwarded = 0
+                tuples = 0
+                probes = 0
+                if not fold:
+                    append = batch.results.append
+                    for key, tss_result in zip(chunk, results):
+                        entry = tss_result.entry
+                        if insert(key, entry, now):
+                            note_insert(key)
+                        tuples += tss_result.tuples_scanned
+                        probes += tss_result.hash_probes
+                        if entry.action.is_forwarding():
+                            forwarded += 1
+                        if materialize:
+                            append(PacketResult(
+                                action=entry.action,
+                                path=LookupPath.MEGAFLOW,
+                                tuples_scanned=tss_result.tuples_scanned,
+                                hash_probes=tss_result.hash_probes,
+                                entry=entry,
+                            ))
+                else:
+                    hits = (results.hits if isinstance(results, BurstResults)
+                            else zip(results, repeat(1)))
+                    for tss_result, count in hits:
+                        tuples += tss_result.tuples_scanned * count
+                        probes += tss_result.hash_probes * count
+                        if tss_result.entry.action.is_forwarding():
+                            forwarded += count
+                served = len(results)
+                stats.megaflow_hits += served
+                stats.tuples_scanned += tuples
+                stats.hash_probes += probes
+                stats.forwarded += forwarded
+                stats.drops += served - forwarded
+                batch.packets += served
+                batch.megaflow_hits += served
+                batch.tuples_scanned += tuples
+                batch.hash_probes += probes
+                batch.forwarded += forwarded
+                batch.drops += served - forwarded
+                start += served
+                if served == len(chunk):
+                    window = min(window * 2, self.MAX_BATCH_WINDOW)
+                continue
             for key, tss_result in zip(chunk, results):
                 if tss_result.hit:
                     self._finish_megaflow_hit(key, tss_result, now, batch,
@@ -346,15 +416,9 @@ class OvsSwitch:
                 else:
                     self._finish_upcall(key, tss_result, now, batch,
                                         materialize)
-                    clean = False
             start += len(results)
-            if not clean:
-                window = 1  # the upcall mutated the TSS: re-probe small
-            elif len(results) == len(chunk):
-                window = min(window * 2, self.MAX_BATCH_WINDOW)
+            window = 1  # the upcall mutated the TSS: re-probe small
         self._batch_window = window
-        run.clear()
-        run_set.clear()
 
     def _finish_microflow_hit(self, entry: MegaflowEntry, now: float,
                               batch: BatchResult,

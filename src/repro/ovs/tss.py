@@ -85,6 +85,17 @@ class TssLookupResult:
         return self.entry is not None
 
 
+class BurstResults(list):
+    """A burst lookup's per-key results in key order (duplicate keys may
+    share one result object), plus ``hits``: the hit prefix folded per
+    distinct key, one ``(result, count)`` pair each in first-seen order.
+    Aggregate-only callers apply their per-hit bookkeeping once per
+    pair; a plain list (the scalar scan's return) carries one hit per
+    key instead."""
+
+    __slots__ = ("hits",)
+
+
 class Subtable:
     """All megaflow entries sharing one wildcard mask."""
 

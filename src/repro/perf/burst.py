@@ -45,7 +45,7 @@ class KeyBurst:
 
     def buckets(self, dispatcher) -> list[int]:
         """Each key's RSS indirection-table bucket under ``dispatcher``
-        (any object with ``_rss_mask``/``reta_size`` — in practice a
+        (any :class:`~repro.ovs.pmd.RssDispatch` — in practice a
         :class:`~repro.ovs.pmd.ShardedDatapath`).
 
         Buckets depend only on the hash of the packed key masked to the
@@ -53,13 +53,8 @@ class KeyBurst:
         stable across RETA rebalances and cached per dispatcher.
         """
         if self._buckets is None or self._buckets_for is not dispatcher:
-            from repro.ovs.pmd import rss_hash
-
-            mask = dispatcher._rss_mask
-            size = dispatcher.reta_size
-            self._buckets = [
-                rss_hash(packed & mask) % size for packed in self.packed
-            ]
+            bucket_of = dispatcher.bucket_of
+            self._buckets = [bucket_of(key) for key in self.keys]
             self._buckets_for = dispatcher
         return self._buckets
 

@@ -6,10 +6,10 @@ bounded by one core.  :class:`ParallelDatapath` keeps the exact same
 structure and moves each shard's switch state onto its own
 ``multiprocessing`` worker:
 
-* the **parent** keeps RETA dispatch — the same ``rss_hash`` /
-  indirection-table arithmetic as the serial datapath, so a key steers
-  to the same shard index either way — and splits every burst into
-  per-shard sub-bursts in arrival order;
+* the **parent** keeps RETA dispatch — the serial datapath's own
+  :class:`~repro.ovs.pmd.RssDispatch` steering, so a key steers to the
+  same shard index either way — and splits every burst into per-shard
+  sub-bursts in arrival order;
 * each **worker** owns one :class:`~repro.ovs.switch.OvsSwitch` (or
   drop-in subclass such as the vectorized engine) and serves a small
   mailbox protocol over a duplex pipe;
@@ -62,13 +62,7 @@ from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 from repro.obs.export import observe_switch as _observe_switch
 from repro.ovs.megaflow import MegaflowEntry
-from repro.ovs.pmd import (
-    DEFAULT_RETA_SIZE,
-    RSS_FIELDS,
-    effective_reta_size,
-    rss_hash,
-    shard_seed,
-)
+from repro.ovs.pmd import DEFAULT_RETA_SIZE, RssDispatch, shard_seed
 from repro.ovs.stats import SwitchStats
 from repro.ovs.switch import BatchResult, OvsSwitch, PacketResult
 from repro.ovs.upcall import InstallGuard
@@ -154,7 +148,7 @@ def _worker_main(conn: Connection, switch: OvsSwitch) -> None:
         raise
 
 
-class ParallelDatapath:
+class ParallelDatapath(RssDispatch):
     """N per-PMD shards, each on its own worker process.
 
     Construction mirrors :class:`~repro.ovs.pmd.ShardedDatapath`:
@@ -209,16 +203,7 @@ class ParallelDatapath:
         self._switches: list[OvsSwitch] | None = [
             shard_factory(i) for i in range(shards)
         ]
-        fields = tuple(f for f in (rss_fields or RSS_FIELDS) if f in space)
-        self._rss_mask = space.pack(
-            tuple(
-                spec.max_value if spec.name in fields else 0
-                for spec in space.specs
-            )
-        ) if fields else 0
-        self.rss_fields = fields
-        self.reta_size = effective_reta_size(reta_size, shards)
-        self.reta: list[int] = [b % shards for b in range(self.reta_size)]
+        super().__init__(space, shards, rss_fields, reta_size)
         self.clock = 0.0
         # static config, captured before the switches cross the fork
         first = self._switches[0]
@@ -405,17 +390,6 @@ class ParallelDatapath:
         if now is not None and now > self.clock:
             self.clock = now
 
-    def bucket_of(self, key: FlowKey) -> int:
-        """Same RETA arithmetic as the serial dispatcher — a key's
-        bucket (and with the identity table, its shard) is identical
-        under either runtime."""
-        return rss_hash(key.packed & self._rss_mask) % self.reta_size
-
-    def shard_of(self, key: FlowKey) -> int:
-        if self.shard_count == 1:
-            return 0
-        return self.reta[self.bucket_of(key)]
-
     # -- datapath -----------------------------------------------------------
 
     def process(self, key_or_packet, in_port: int = 0,
@@ -460,17 +434,13 @@ class ParallelDatapath:
         if not self._procs:
             self.start()
         if self.shard_count == 1:
-            by_shard = {0: [key.packed for key in keys]}
+            by_shard = {0: keys}
         else:
             self._advance(now)
-            reta = self.reta
-            by_shard = {}
-            for key in keys:
-                by_shard.setdefault(
-                    reta[self.bucket_of(key)], []
-                ).append(key.packed)
-        for shard, packed in by_shard.items():
-            self._send(shard, ("batch", packed, now))
+            by_shard = self.group_by_shard(keys)
+        for shard, sub_keys in by_shard.items():
+            self._send(shard, ("batch", [key.packed for key in sub_keys],
+                               now))
         batch = BatchResult()
         for shard in by_shard:
             counters = self._recv(shard, "batch")

@@ -127,7 +127,10 @@ class PcapSource:
     :func:`~repro.flow.extract.flow_key_from_packet` and grouped into
     bursts of ``batch_size`` (a NIC rx-ring drain, not a timer); each
     burst carries the capture timestamp of its last frame so the
-    datapath clock follows recorded time.
+    datapath clock follows recorded time.  Frames the parser rejects
+    are dropped and counted in ``malformed`` by reason; a capture cut
+    short inside a record ends the stream after its last complete
+    frame, with ``end_reason`` set to ``"input:truncated"``.
     """
 
     def __init__(
@@ -143,6 +146,11 @@ class PcapSource:
         self.space = space
         self.batch_size = batch_size
         self.in_port = in_port
+        #: frames the parser rejected, by :attr:`~repro.net.parse.
+        #: ParseError.reason`
+        self.malformed: dict[str, int] = {}
+        #: why the stream ended, once it has
+        self.end_reason = "end-of-stream"
 
     def describe(self) -> dict:
         return {
@@ -153,20 +161,29 @@ class PcapSource:
 
     def batches(self) -> Iterator[tuple[float, list[FlowKey]]]:
         from repro.flow.extract import flow_key_from_packet
-        from repro.net.pcap import PcapReader
+        from repro.net.parse import ParseError
+        from repro.net.pcap import PcapReader, PcapTruncatedError
 
         batch: list[FlowKey] = []
         last_ts = 0.0
-        for packet in PcapReader(self.path):
-            batch.append(
-                flow_key_from_packet(
-                    packet.data, in_port=self.in_port, space=self.space
-                )
-            )
-            last_ts = packet.timestamp
-            if len(batch) >= self.batch_size:
-                yield last_ts, batch
-                batch = []
+        try:
+            for packet in PcapReader(self.path):
+                try:
+                    key = flow_key_from_packet(
+                        packet.data, in_port=self.in_port, space=self.space
+                    )
+                except ParseError as exc:
+                    self.malformed[exc.reason] = (
+                        self.malformed.get(exc.reason, 0) + 1
+                    )
+                    continue
+                batch.append(key)
+                last_ts = packet.timestamp
+                if len(batch) >= self.batch_size:
+                    yield last_ts, batch
+                    batch = []
+        except PcapTruncatedError:
+            self.end_reason = "input:truncated"
         if batch:
             yield last_ts, batch
 
@@ -192,7 +209,10 @@ class ServeReport:
     packets: int
     batches: int
     wall_seconds: float
-    stopped_by: str  #: "end-of-stream" | "signal:SIGINT" | ...
+    #: "end-of-stream" | "input:truncated" | "signal:SIGINT" | ...
+    stopped_by: str
+    #: ingested frames dropped as malformed, by reason
+    malformed: dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
     def packets_per_second(self) -> float:
@@ -227,6 +247,7 @@ class ServeReport:
             "wall_seconds": self.wall_seconds,
             "packets_per_second": self.packets_per_second,
             "stopped_by": self.stopped_by,
+            "malformed": self.malformed,
         }
 
     def render(self) -> str:
@@ -249,6 +270,17 @@ class ServeReport:
             f"  megaflow hits  {state['stats']['megaflow_hits']}",
             f"  upcalls        {state['stats']['upcalls']}",
             f"  tuples scanned {state['stats']['tuples_scanned']}",
+        ]
+        if self.malformed:
+            reasons = ", ".join(
+                f"{reason}: {count}"
+                for reason, count in sorted(self.malformed.items())
+            )
+            lines.append(
+                f"  malformed      {sum(self.malformed.values())} frames "
+                f"dropped ({reasons})"
+            )
+        lines += [
             f"  detector       "
             + (
                 f"ALERT (>= {detector['threshold']} masks on a shard)"
@@ -417,6 +449,14 @@ class ServeService:
                 if self._stop_requested:
                     stopped_by = self._stop_reason
                     break
+            else:
+                stopped_by = getattr(self.source, "end_reason", stopped_by)
+            malformed = dict(getattr(self.source, "malformed", {}))
+            if self.telemetry.enabled:
+                for reason, count in sorted(malformed.items()):
+                    self.telemetry.counter(
+                        "serve.ingest.malformed", reason=reason
+                    ).inc(count)
             final = self.snapshot(now, t0)
             report = ServeReport(
                 source=self.source.describe(),
@@ -427,6 +467,7 @@ class ServeService:
                 batches=self.batches,
                 wall_seconds=time.perf_counter() - t0,
                 stopped_by=stopped_by,
+                malformed=malformed,
             )
         finally:
             self._restore_signal_handlers()

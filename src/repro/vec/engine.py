@@ -49,10 +49,10 @@ Three pieces, each a drop-in specialisation of its reference class:
   RNG draws — is replayed through the inherited reference code on the
   gathered misses, which is what keeps the engine byte-for-byte
   identical to ``ovs``.  When the EMC cannot store (insertion
-  probability 0), runs do not split at repeated keys, and in
-  aggregate-only mode the hit bookkeeping is applied once per distinct
-  key: a tick that replays a covert lap several times scans and books
-  each covert key once.
+  probability 0) there is nothing to probe: the burst takes the
+  inherited pipeline as one run, whose aggregate-only mode books each
+  distinct key's hits once — a tick that replays a covert lap several
+  times scans and books each covert key once.
 """
 
 from __future__ import annotations
@@ -63,8 +63,13 @@ from typing import Iterable, Sequence
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
 from repro.ovs.microflow import MicroflowCache
-from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
-from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
+from repro.ovs.switch import BatchResult, OvsSwitch
+from repro.ovs.tss import (
+    BurstResults,
+    Subtable,
+    TssLookupResult,
+    TupleSpaceSearch,
+)
 from repro.vec import require_numpy
 from repro.vec.columnar import LaneCodec
 
@@ -114,16 +119,6 @@ class VecSubtable(Subtable):
             self.vec_mask = codec.encode_int(self.packed_mask)
             self.vec_dirty = False
         return self.vec_lanes, self.vec_entries, self.vec_mask
-
-
-class BurstResults(list):
-    """One columnar :meth:`VecTupleSpaceSearch.lookup_batch` call's
-    per-key results in key order (duplicate keys share one result
-    object), plus ``hits``: the hit prefix folded per distinct key, one
-    ``(result, count)`` pair each in first-seen order.  Aggregate-only
-    callers apply their per-hit bookkeeping once per pair."""
-
-    __slots__ = ("hits",)
 
 
 class VecTupleSpaceSearch(TupleSpaceSearch):
@@ -514,15 +509,15 @@ class VecSwitch(OvsSwitch):
       column-wise;
     * :meth:`process_batch` pre-probes the EMC vectorized and skips the
       per-key Python probe for keys the store proves absent;
-    * keys that miss are gathered into runs and replayed through the
-      inherited ``_finish_*`` machinery, in key order.  When the EMC
-      cannot store (:attr:`~repro.ovs.microflow.MicroflowCache.
-      can_store`) a repeated key does not split its run, so a burst
-      that replays its keys several times reaches the scan as one run
-      and each distinct key is scanned once per ``SCAN_WINDOW``;
-    * in aggregate-only mode with such an EMC, the hit bookkeeping —
-      entry touches, subtable credits, switch and batch counters — is
-      applied once per distinct key with its count.
+    * keys that miss are gathered into runs and drained through the
+      inherited :meth:`~repro.ovs.switch.OvsSwitch._flush_run`, in key
+      order.  When the EMC cannot store (:attr:`~repro.ovs.microflow.
+      MicroflowCache.can_store`) there is nothing to probe: the burst
+      takes the inherited pipeline as one run, each distinct key is
+      scanned once per ``SCAN_WINDOW``, and in aggregate-only mode the
+      hit bookkeeping — entry touches, subtable credits, switch and
+      batch counters — is applied once per distinct key with its
+      count.
     """
 
     #: bursts below this size take the inherited scalar pipeline (the
@@ -568,104 +563,6 @@ class VecSwitch(OvsSwitch):
         super().invalidate_caches()
         self._emc_store.reset()
 
-    # -- batched slow-path bookkeeping ---------------------------------------
-
-    def _flush_run(self, run, run_set, batch: BatchResult, now: float,
-                   materialize: bool = True) -> None:
-        """The inherited run drain with the megaflow-hit bookkeeping
-        folded per chunk: a chunk whose every key hit (the prefix
-        contract puts the only possible miss last) updates the switch
-        and batch counters once instead of per packet.  The per-key
-        work that is stateful stays per-key, in key order — the EMC
-        insert (its RNG draw and any stored slot) and, in materialized
-        mode, the ``PacketResult`` list the caller reads.  In
-        aggregate-only mode with an EMC that cannot store there is no
-        such work: the lookup's hits come folded per distinct key and
-        everything is applied once per distinct key with its count, so
-        the exit state is bit-identical to the reference loop."""
-        start = 0
-        window = self._batch_window
-        n = len(run)
-        stats = self.stats
-        insert = self.microflow.insert
-        note_insert = self._note_emc_insert
-        fold = not materialize and not self.microflow.can_store
-        tss = self.megaflow.tss
-        while start < n:
-            chunk = run[start:start + window]
-            forwarded = 0
-            tuples = 0
-            probes = 0
-            if fold:
-                results = tss.lookup_batch(chunk)
-                hits = (results.hits if isinstance(results, BurstResults)
-                        else [(result, 1) for result in results
-                              if result.hit])
-                for result, count in hits:
-                    # the megaflow layer's touch and the hit counters,
-                    # once per distinct key (per key on the scalar
-                    # fallback's plain list)
-                    entry = result.entry
-                    entry.touch(now, count)
-                    tuples += result.tuples_scanned * count
-                    probes += result.hash_probes * count
-                    if entry.action.is_forwarding():
-                        forwarded += count
-            else:
-                results = self.megaflow.lookup_batch(chunk, now)
-            if results and results[-1].hit:
-                if not fold:
-                    append = batch.results.append
-                    for key, tss_result in zip(chunk, results):
-                        entry = tss_result.entry
-                        if insert(key, entry, now):
-                            note_insert(key)
-                        tuples += tss_result.tuples_scanned
-                        probes += tss_result.hash_probes
-                        if materialize:
-                            result = PacketResult(
-                                action=entry.action,
-                                path=LookupPath.MEGAFLOW,
-                                tuples_scanned=tss_result.tuples_scanned,
-                                hash_probes=tss_result.hash_probes,
-                                entry=entry,
-                            )
-                            append(result)
-                            if result.forwarded:
-                                forwarded += 1
-                        elif entry.action.is_forwarding():
-                            forwarded += 1
-                served = len(results)
-                stats.megaflow_hits += served
-                stats.tuples_scanned += tuples
-                stats.hash_probes += probes
-                stats.forwarded += forwarded
-                stats.drops += served - forwarded
-                batch.packets += served
-                batch.megaflow_hits += served
-                batch.tuples_scanned += tuples
-                batch.hash_probes += probes
-                batch.forwarded += forwarded
-                batch.drops += served - forwarded
-                start += served
-                if served == len(chunk):
-                    window = min(window * 2, self.MAX_BATCH_WINDOW)
-                continue
-            # the chunk ended in a TSS miss (or a degenerate empty
-            # prefix): replay it through the reference finishers
-            for key, tss_result in zip(chunk, results):
-                if tss_result.hit:
-                    self._finish_megaflow_hit(key, tss_result, now, batch,
-                                              materialize)
-                else:
-                    self._finish_upcall(key, tss_result, now, batch,
-                                        materialize)
-                    window = 1
-            start += len(results) if results else len(chunk)
-        self._batch_window = window
-        run.clear()
-        run_set.clear()
-
     # -- the vectorized batch pipeline --------------------------------------
 
     def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
@@ -673,33 +570,33 @@ class VecSwitch(OvsSwitch):
                       materialize: bool = True) -> BatchResult:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
-        if len(keys) < self.VEC_MIN_BATCH:
+        microflow = self.microflow
+        if len(keys) < self.VEC_MIN_BATCH or not microflow.can_store:
             # the inherited pipeline (which still scans the TSS through
-            # the vectorized subclass) is cheaper for tiny bursts
+            # the vectorized subclass) is cheaper for tiny bursts, and
+            # an EMC that cannot store needs no probe at all
             return super().process_batch(keys, now=now, materialize=materialize)
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         store = self._emc_store
-        store.refresh(self.microflow)
+        store.refresh(microflow)
         overlay = store.overlay
         batch = BatchResult()
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
-        microflow = self.microflow
-        split_repeats = microflow.can_store
         # a provably-empty store answers every probe "no" — skip even
-        # the batch encode (the common state with EMC insertion off)
+        # the batch encode (the cold-cache state)
         maybe = None if store.empty else store.probe(
             self._codec.encode_keys(keys)
         )
         if maybe is None or (not overlay and not maybe.any()):
             # the whole burst is proven absent from the EMC (the common
             # shape of a cold covert lap): no key pays a per-key cache
-            # probe, runs split only at repeated keys the EMC could
-            # have stored meanwhile (never, with insertion off), and
-            # the per-packet counter ticks are deferred to one bulk add
-            # each — nothing reads them mid-batch, so the exit state is
-            # bit-identical to the per-key loop
+            # probe, runs split only at repeated keys (the EMC could
+            # have stored them meanwhile), and the per-packet counter
+            # ticks are deferred to one bulk add each — nothing reads
+            # them mid-batch, so the exit state is bit-identical to the
+            # per-key loop
             certain_misses = 0
             for key in keys:
                 # the truthiness guard spares the key hash while the
@@ -707,10 +604,11 @@ class VecSwitch(OvsSwitch):
                 # a flush's insert actually stores one)
                 possible = bool(overlay) and key in overlay
                 if run and (
-                    (split_repeats and key in run_set)
-                    or (possible and microflow.contains(key))
+                    key in run_set or (possible and microflow.contains(key))
                 ):
-                    self._flush_run(run, run_set, batch, now, materialize)
+                    self._flush_run(run, batch, now, materialize)
+                    run.clear()
+                    run_set.clear()
                     # the flush may have installed this very key (every
                     # insert lands in the overlay, so the re-check
                     # restores the superset guarantee)
@@ -726,12 +624,11 @@ class VecSwitch(OvsSwitch):
                     self._finish_microflow_hit(entry, now, batch, materialize)
                 else:
                     run.append(key)
-                    if split_repeats:
-                        run_set.add(key)
+                    run_set.add(key)
             self.stats.packets += len(keys)
             microflow.lookups += certain_misses
             if run:
-                self._flush_run(run, run_set, batch, now, materialize)
+                self._flush_run(run, batch, now, materialize)
             return batch
         # mixed burst: one vectorized flag conversion, then the
         # reference per-key resolve (possible residents must probe the
@@ -743,10 +640,11 @@ class VecSwitch(OvsSwitch):
             # catches keys inserted since the probe's snapshot)
             possible = flags[i] or key in overlay
             if run and (
-                (split_repeats and key in run_set)
-                or (possible and microflow.contains(key))
+                key in run_set or (possible and microflow.contains(key))
             ):
-                self._flush_run(run, run_set, batch, now, materialize)
+                self._flush_run(run, batch, now, materialize)
+                run.clear()
+                run_set.clear()
                 # the flush may have inserted this very key (every
                 # insert lands in the overlay, so re-checking it is
                 # enough to restore the superset guarantee)
@@ -763,10 +661,9 @@ class VecSwitch(OvsSwitch):
                 self._finish_microflow_hit(entry, now, batch, materialize)
             else:
                 run.append(key)
-                if split_repeats:
-                    run_set.add(key)
+                run_set.add(key)
         if run:
-            self._flush_run(run, run_set, batch, now, materialize)
+            self._flush_run(run, batch, now, materialize)
         return batch
 
     def __repr__(self) -> str:

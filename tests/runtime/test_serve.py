@@ -220,3 +220,65 @@ class TestBuildService:
         spec = SCENARIOS.get("k8s-serve")
         assert spec.profile == "kernel-noemc"
         assert spec.attack_start == 0.0
+
+
+class TestPcapIngest:
+    """Bad captures become counted, reported errors, never a traceback."""
+
+    def _short_frame(self, path):
+        from repro.net.pcap import PcapWriter
+
+        with PcapWriter(path) as writer:
+            writer.write(b"\x00" * 10, timestamp=0.5)
+        return path
+
+    def _cut_short(self, path):
+        from repro.net.pcap import PcapWriter
+
+        with PcapWriter(path) as writer:
+            writer.write(b"\x00" * 60, timestamp=0.5)
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])  # the record ends mid-packet
+        return path
+
+    def _run(self, pcap, telemetry=None):
+        service = build_service(_spec(shards=2), pcap=pcap,
+                                telemetry=telemetry)
+        return service.run()
+
+    def test_malformed_frame_is_counted_as_a_drop(self, tmp_path):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        report = self._run(self._short_frame(tmp_path / "short.pcap"),
+                           telemetry)
+        assert report.stopped_by == "end-of-stream"
+        assert report.malformed == {"short-ethernet": 1}
+        assert report.packets == 0
+        assert report.to_dict()["malformed"] == {"short-ethernet": 1}
+        assert "1 frames dropped (short-ethernet: 1)" in report.render()
+        counters = {
+            (name, labels): instrument.value
+            for name, labels, instrument in telemetry.series()
+            if name == "serve.ingest.malformed"
+        }
+        assert counters == {
+            ("serve.ingest.malformed", (("reason", "short-ethernet"),)): 1
+        }
+
+    def test_truncated_capture_flushes_a_final_snapshot(self, tmp_path):
+        report = self._run(self._cut_short(tmp_path / "cut.pcap"))
+        assert report.stopped_by == "input:truncated"
+        assert report.malformed == {}
+        assert report.packets == 0
+        assert report.final["state"]["packets"] == 0
+
+    def test_cli_exits_cleanly_on_both(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for pcap, stopped in (
+            (self._short_frame(tmp_path / "short.pcap"), "end-of-stream"),
+            (self._cut_short(tmp_path / "cut.pcap"), "input:truncated"),
+        ):
+            assert main(["serve", "--pcap", str(pcap)]) == 0
+            assert f"serve finished: {stopped}" in capsys.readouterr().out
